@@ -2,7 +2,9 @@
 // themselves: inspector hashing (cold and warm), schedule generation,
 // transport, light-weight schedules, and the partitioners. These measure
 // the real implementation on the host, complementing the modeled-time
-// table harnesses.
+// table harnesses. Benchmarks whose work runs on sim::Machine rank threads
+// report wall-clock time (UseRealTime): the driver thread's CPU time would
+// leave the rank threads' work out and inflate items/s.
 #include <benchmark/benchmark.h>
 
 #include <numeric>
@@ -39,7 +41,7 @@ void BM_HashColdInsert(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_HashColdInsert)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_HashColdInsert)->Arg(10000)->Arg(100000)->UseRealTime();
 
 void BM_HashWarmRehash(benchmark::State& state) {
   // The adaptive-problem fast path: re-hashing an unchanged indirection
@@ -63,7 +65,7 @@ void BM_HashWarmRehash(benchmark::State& state) {
   });
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_HashWarmRehash)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_HashWarmRehash)->Arg(10000)->Arg(100000)->UseRealTime();
 
 void BM_ScheduleBuildAndGather(benchmark::State& state) {
   const GlobalIndex n = state.range(0);
@@ -88,7 +90,7 @@ void BM_ScheduleBuildAndGather(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_ScheduleBuildAndGather)->Arg(40000);
+BENCHMARK(BM_ScheduleBuildAndGather)->Arg(40000)->UseRealTime();
 
 void BM_LightweightMigration(benchmark::State& state) {
   const GlobalIndex n = state.range(0);
@@ -108,21 +110,24 @@ void BM_LightweightMigration(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_LightweightMigration)->Arg(40000);
+BENCHMARK(BM_LightweightMigration)->Arg(40000)->UseRealTime();
 
 void BM_RcbPartition(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const int nparts = static_cast<int>(state.range(1));
   Rng rng(5);
   std::vector<part::Point3> pts(n);
   for (auto& p : pts) p = {rng.uniform(), rng.uniform(), rng.uniform()};
   std::vector<double> w(n, 1.0);
   for (auto _ : state) {
-    auto a = part::recursive_coordinate_bisection(pts, w, 64);
+    auto a = part::recursive_coordinate_bisection(pts, w, nparts);
     benchmark::DoNotOptimize(a.data());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<long>(n));
 }
-BENCHMARK(BM_RcbPartition)->Arg(100000);
+// {points, parts}: the 64-part case, and the 64k-point 4-part split of one
+// perfbench remesh event.
+BENCHMARK(BM_RcbPartition)->Args({100000, 64})->Args({64000, 4});
 
 void BM_ChainPartition(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -159,7 +164,7 @@ void BM_TranslationLookupDistributed(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 5000 * P);
 }
-BENCHMARK(BM_TranslationLookupDistributed);
+BENCHMARK(BM_TranslationLookupDistributed)->UseRealTime();
 
 }  // namespace
 

@@ -50,19 +50,19 @@ int main(int argc, char** argv) {
   if (!opt.quick) {
     t.row(num_row("Execution (paper)", {74595.5, 4356.0, 2293.8, 1261.4, 781.8}, 1));
   }
-  t.row(num_row("Execution (measured)", exec, 1));
+  t.row(num_row("Execution (modeled)", exec, 1));
   if (!opt.quick) {
     t.row(num_row("Computation (paper)", {74595.5, 4099.4, 2026.8, 1011.2, 507.6}, 1));
   }
-  t.row(num_row("Computation (measured)", comp, 1));
+  t.row(num_row("Computation (modeled)", comp, 1));
   if (!opt.quick) {
     t.row(num_row("Communication (paper)", {0.0, 147.1, 159.8, 181.1, 219.2}, 1));
   }
-  t.row(num_row("Communication (measured)", comm, 1));
+  t.row(num_row("Communication (modeled)", comm, 1));
   if (!opt.quick) {
     t.row(num_row("Load balance (paper)", {1.00, 1.03, 1.05, 1.06, 1.08}, 2));
   }
-  t.row(num_row("Load balance (measured)", lb, 2));
+  t.row(num_row("Load balance (modeled)", lb, 2));
   t.print();
   return 0;
 }

@@ -41,19 +41,19 @@ int main(int argc, char** argv) {
   t.header(head);
   if (!opt.quick)
     t.row(num_row("Data Partition (paper)", {0.27, 0.47, 0.83, 1.63}));
-  t.row(num_row("Data Partition (measured)", partition));
+  t.row(num_row("Data Partition (modeled)", partition));
   if (!opt.quick)
     t.row(num_row("NB List Update (paper)", {7.18, 3.85, 2.16, 1.22}));
-  t.row(num_row("NB List Update (measured)", nb_update));
+  t.row(num_row("NB List Update (modeled)", nb_update));
   if (!opt.quick)
     t.row(num_row("Remap+Preproc (paper)", {0.03, 0.03, 0.02, 0.02}));
-  t.row(num_row("Remap+Preproc (measured)", remap));
+  t.row(num_row("Remap+Preproc (modeled)", remap));
   if (!opt.quick)
     t.row(num_row("Schedule Gen (paper)", {1.31, 0.80, 0.64, 0.42}));
-  t.row(num_row("Schedule Gen (measured)", sched_gen));
+  t.row(num_row("Schedule Gen (modeled)", sched_gen));
   if (!opt.quick)
     t.row(num_row("Schedule Regen x40 (paper)", {43.51, 23.36, 13.18, 8.92}));
-  t.row(num_row("Schedule Regen x40 (measured)", regen40));
+  t.row(num_row("Schedule Regen x40 (modeled)", regen40));
   t.print();
   return 0;
 }

@@ -67,21 +67,21 @@ int main(int argc, char** argv) {
   if (!opt.quick) {
     t.row(num_row("Merged Comm (paper)", {147.1, 159.8, 181.1, 219.2}, 1));
   }
-  t.row(num_row("Merged Comm (measured)", merged_comm, 1));
+  t.row(num_row("Merged Comm (modeled)", merged_comm, 1));
   if (!opt.quick) {
     t.row(num_row("Merged Exec (paper)", {4356.0, 2293.8, 1261.4, 781.8}, 1));
   }
-  t.row(num_row("Merged Exec (measured)", merged_exec, 1));
+  t.row(num_row("Merged Exec (modeled)", merged_exec, 1));
   if (!opt.quick) {
     t.row(num_row("Multiple Comm (paper)", {182.1, 201.0, 223.2, 253.1}, 1));
   }
-  t.row(num_row("Multiple Comm (measured)", multi_comm, 1));
+  t.row(num_row("Multiple Comm (modeled)", multi_comm, 1));
   if (!opt.quick) {
     t.row(num_row("Multiple Exec (paper)", {4427.5, 2364.2, 1291.9, 815.2}, 1));
   }
-  t.row(num_row("Multiple Exec (measured)", multi_exec, 1));
-  t.row(num_row("Engine Comm (measured)", engine_comm, 1));
-  t.row(num_row("Engine Exec (measured)", engine_exec, 1));
+  t.row(num_row("Multiple Exec (modeled)", multi_exec, 1));
+  t.row(num_row("Engine Comm (modeled)", engine_comm, 1));
+  t.row(num_row("Engine Exec (modeled)", engine_exec, 1));
   t.row(num_row("Multiple msgs (total)", multi_msgs, 0));
   t.row(num_row("Engine msgs (total)", engine_msgs, 0));
   t.row(num_row("Engine segments/msg", engine_ratio, 2));

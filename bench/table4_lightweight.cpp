@@ -79,10 +79,10 @@ int main(int argc, char** argv) {
         std::to_string(grid) + "x" + std::to_string(grid);
     if (!opt.quick)
       t.row(num_row(label + " Regular (paper)", paper_regular[g]));
-    t.row(num_row(label + " Regular (measured)", regular));
+    t.row(num_row(label + " Regular (modeled)", regular));
     if (!opt.quick)
       t.row(num_row(label + " Light-weight (paper)", paper_light[g]));
-    t.row(num_row(label + " Light-weight (measured)", light));
+    t.row(num_row(label + " Light-weight (modeled)", light));
   }
   t.print();
   return 0;

@@ -226,7 +226,7 @@ int main(int argc, char** argv) {
         prow.push_back("-");
       t.row(prow);
     }
-    std::vector<std::string> mrow{std::string(row.label) + " (measured)"};
+    std::vector<std::string> mrow{std::string(row.label) + " (modeled)"};
     for (double v : measured) mrow.push_back(Table::num(v, 2));
     if (std::string(row.label) == "Static partition")
       mrow.push_back(Table::num(seq_time, 2));

@@ -79,7 +79,7 @@ int main(int argc, char** argv) {
              Table::num(paper_hand[i][0], 1), Table::num(paper_hand[i][1], 1),
              Table::num(paper_hand[i][2], 1), Table::num(paper_hand[i][3], 1),
              Table::num(paper_hand[i][4], 1)});
-    t.row({"Hand (measured)", std::to_string(P), Table::num(hand.partition, 1),
+    t.row({"Hand (modeled)", std::to_string(P), Table::num(hand.partition, 1),
            Table::num(hand.remap, 1), Table::num(hand.inspector, 1),
            Table::num(hand.executor, 1), Table::num(hand.total, 1)});
     if (!opt.quick)
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
              Table::num(paper_comp[i][0], 1), Table::num(paper_comp[i][1], 1),
              Table::num(paper_comp[i][2], 1), Table::num(paper_comp[i][3], 1),
              Table::num(paper_comp[i][4], 1)});
-    t.row({"Compiler (measured)", std::to_string(P),
+    t.row({"Compiler (modeled)", std::to_string(P),
            Table::num(comp.partition, 1), Table::num(comp.remap, 1),
            Table::num(comp.inspector, 1), Table::num(comp.executor, 1),
            Table::num(comp.total, 1)});

@@ -72,19 +72,19 @@ int main(int argc, char** argv) {
   if (!opt.quick) {
     t.row(num_row("Compiler reduce-append (paper)", {2.75, 1.89, 1.79, 2.39}));
   }
-  t.row(num_row("Compiler reduce-append (measured)", comp_append));
+  t.row(num_row("Compiler reduce-append (modeled)", comp_append));
   if (!opt.quick) {
     t.row(num_row("Manual reduce-append (paper)", {1.83, 1.41, 1.49, 2.05}));
   }
-  t.row(num_row("Manual reduce-append (measured)", man_append));
+  t.row(num_row("Manual reduce-append (modeled)", man_append));
   if (!opt.quick) {
     t.row(num_row("Compiler total (paper)", {15.47, 8.99, 6.71, 5.30}));
   }
-  t.row(num_row("Compiler total (measured)", comp_total));
+  t.row(num_row("Compiler total (modeled)", comp_total));
   if (!opt.quick) {
     t.row(num_row("Manual total (paper)", {8.51, 4.90, 4.05, 3.75}));
   }
-  t.row(num_row("Manual total (measured)", man_total));
+  t.row(num_row("Manual total (modeled)", man_total));
   t.print();
   return 0;
 }

@@ -6,7 +6,8 @@
 // processor changed between the old and the new map array. Everything the
 // cross-epoch machinery does — patching the translation table, carrying
 // ghost assignments forward, revalidating cached schedules — keys on two
-// per-element predicates this descriptor answers in O(log |delta|):
+// per-element predicates this descriptor answers in O(1), from one state
+// byte per global:
 //
 //   owner_moved(g)  the owning processor of g changed, so its data must
 //                   migrate and every schedule touching it is stale;
@@ -33,7 +34,7 @@
 // renumber, so every stable-Home guarantee above carries over unchanged.
 #pragma once
 
-#include <algorithm>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -71,24 +72,21 @@ class OwnerDelta {
   GlobalIndex moved_count() const {
     return static_cast<GlobalIndex>(moves_.size());
   }
-  GlobalIndex unstable_count() const {
-    return static_cast<GlobalIndex>(home_unstable_.size());
-  }
+  /// Globals whose Home differs between the epochs (moved, re-offset, born
+  /// or deleted).
+  GlobalIndex unstable_count() const { return unstable_count_; }
 
-  /// Globals that were live in the old epoch and are holes (or beyond the
-  /// end) in the new one. Ascending.
-  const std::vector<GlobalIndex>& deleted_globals() const { return deleted_; }
   /// Globals that were holes (or beyond the end) in the old epoch and are
   /// live in the new one; Move::from is -1, Move::to the birth owner.
   const std::vector<Move>& born() const { return born_; }
-  GlobalIndex deleted_count() const {
-    return static_cast<GlobalIndex>(deleted_.size());
-  }
+  /// Globals that were live in the old epoch and are holes (or beyond the
+  /// end) in the new one.
+  GlobalIndex deleted_count() const { return deleted_count_; }
   GlobalIndex born_count() const {
     return static_cast<GlobalIndex>(born_.size());
   }
   /// Does this delta change the set of live elements (any birth or death)?
-  bool is_dynamic() const { return !deleted_.empty() || !born_.empty(); }
+  bool is_dynamic() const { return deleted_count_ != 0 || !born_.empty(); }
 
   /// Fraction of elements whose owner did not change (1.0 = no movement).
   double owner_stability() const {
@@ -98,52 +96,48 @@ class OwnerDelta {
   }
 
   /// Did g's owning processor change (live in both epochs)?
-  bool owner_moved(GlobalIndex g) const {
-    auto it = std::lower_bound(moves_.begin(), moves_.end(), g,
-                               [](const Move& m, GlobalIndex v) {
-                                 return m.global < v;
-                               });
-    return it != moves_.end() && it->global == g;
-  }
+  bool owner_moved(GlobalIndex g) const { return (state(g) & kMoved) != 0; }
 
   /// Was g deleted (live in the old epoch, a hole or out of range now)?
-  bool deleted(GlobalIndex g) const {
-    return std::binary_search(deleted_.begin(), deleted_.end(), g);
-  }
+  bool deleted(GlobalIndex g) const { return (state(g) & kDeleted) != 0; }
 
   /// Was g born (a hole or out of range in the old epoch, live now)?
-  bool is_born(GlobalIndex g) const {
-    auto it = std::lower_bound(born_.begin(), born_.end(), g,
-                               [](const Move& m, GlobalIndex v) {
-                                 return m.global < v;
-                               });
-    return it != born_.end() && it->global == g;
-  }
+  bool is_born(GlobalIndex g) const { return (state(g) & kBorn) != 0; }
 
   /// Is g's Home (owner AND local offset) identical in both epochs?
   /// Born and deleted elements are never home-stable.
-  bool home_stable(GlobalIndex g) const {
-    return !std::binary_search(home_unstable_.begin(), home_unstable_.end(),
-                               g);
-  }
+  bool home_stable(GlobalIndex g) const { return (state(g) & kUnstable) == 0; }
 
   /// Approximate heap footprint, for registry memory accounting.
   std::size_t footprint_bytes() const {
     return moves_.capacity() * sizeof(Move) +
            born_.capacity() * sizeof(Move) +
-           home_unstable_.capacity() * sizeof(GlobalIndex) +
-           deleted_.capacity() * sizeof(GlobalIndex);
+           state_.capacity() * sizeof(std::uint8_t);
   }
 
  private:
   static OwnerDelta walk(std::span<const int> old_map,
                          std::span<const int> new_map);
 
+  // Per-global state bits. A global outside both maps is a hole in both
+  // epochs: home-stable, never moved, born or deleted.
+  static constexpr std::uint8_t kUnstable = 1;
+  static constexpr std::uint8_t kMoved = 2;
+  static constexpr std::uint8_t kBorn = 4;
+  static constexpr std::uint8_t kDeleted = 8;
+
+  std::uint8_t state(GlobalIndex g) const {
+    return g >= 0 && static_cast<std::size_t>(g) < state_.size()
+               ? state_[static_cast<std::size_t>(g)]
+               : std::uint8_t{0};
+  }
+
   GlobalIndex n_ = 0;
   std::vector<Move> moves_;                   // ascending global, live->live
   std::vector<Move> born_;                    // ascending global, from == -1
-  std::vector<GlobalIndex> home_unstable_;    // ascending global
-  std::vector<GlobalIndex> deleted_;          // ascending global
+  GlobalIndex unstable_count_ = 0;
+  GlobalIndex deleted_count_ = 0;
+  std::vector<std::uint8_t> state_;           // k* bits, max(old, new) size
 };
 
 }  // namespace chaos::core

@@ -1,8 +1,5 @@
 #include "core/parallel_partition.hpp"
 
-#include <algorithm>
-#include <numeric>
-
 #include "util/check.hpp"
 
 namespace chaos::core {
@@ -77,18 +74,20 @@ std::vector<int> parallel_partition(sim::Comm& comm, PartitionerKind kind,
   CHAOS_CHECK(static_cast<GlobalIndex>(all.size()) == n_total,
               "contributed elements do not cover the index space");
 
-  // Canonical order by global id so every rank computes the same result.
-  std::sort(all.begin(), all.end(),
-            [](const ElementRecord& a, const ElementRecord& b) {
-              return a.id < b.id;
-            });
+  // Canonical order by global id so every rank computes the same result:
+  // each record lands at its id. With as many records as ids, every id
+  // placed once and in range means the ids form the dense range [0, n).
   std::vector<part::Point3> points(all.size());
   std::vector<double> weights(all.size());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    CHAOS_CHECK(all[i].id == static_cast<GlobalIndex>(i),
+  std::vector<bool> placed(all.size(), false);
+  for (const ElementRecord& r : all) {
+    CHAOS_CHECK(r.id >= 0 && r.id < n_total,
                 "element ids must form a dense range");
-    points[i] = all[i].point;
-    weights[i] = all[i].weight;
+    const auto at = static_cast<std::size_t>(r.id);
+    CHAOS_CHECK(!placed[at], "element ids must form a dense range");
+    placed[at] = true;
+    points[at] = r.point;
+    weights[at] = r.weight;
   }
 
   std::vector<int> map;

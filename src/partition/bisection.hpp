@@ -18,7 +18,8 @@
 namespace chaos::part {
 
 /// Assignment of each point to a part in [0, nparts). `weights` may be
-/// empty (uniform). Deterministic for fixed inputs.
+/// empty (uniform). Deterministic for fixed inputs. Throws chaos::Error if
+/// a point's position along a split direction is not finite.
 std::vector<int> recursive_coordinate_bisection(std::span<const Point3> points,
                                                 std::span<const double> weights,
                                                 int nparts);
@@ -30,7 +31,8 @@ std::vector<int> recursive_inertial_bisection(std::span<const Point3> points,
 /// Estimated sequential work of one partitioner invocation in abstract work
 /// units, used by drivers to charge the cost model. Recursive bisection does
 /// O(n log k) point-passes plus a per-level median selection; the constant
-/// reflects the heavier arithmetic of RIB.
+/// reflects the heavier arithmetic of RIB. The charge is an assumption of
+/// the cost model, not a measurement of this implementation.
 double bisection_work_units(std::size_t npoints, int nparts, bool inertial);
 
 }  // namespace chaos::part

@@ -222,6 +222,13 @@ void ScheduleRegistry::seed_from(sim::Comm& comm,
   // the recv side of carried schedules.
   std::vector<GlobalIndex> local_remap(rev.size(), -1);
 
+  // Per old local index, within one loop: kNoSlot for a home-stable ref,
+  // else the ref's index into that loop's translated batch, or
+  // kPendingSlot when it needs none (already seeded by an earlier loop).
+  constexpr GlobalIndex kNoSlot = -1;
+  constexpr GlobalIndex kPendingSlot = -2;
+  std::vector<GlobalIndex> slot(rev.size(), kNoSlot);
+
   // Replay loops in first-plan order: ghost slots are then assigned in
   // exactly the first-encounter order a cold replay of the same plan calls
   // would produce (this is what the equivalence suite checks bitwise).
@@ -260,16 +267,30 @@ void ScheduleRegistry::seed_from(sim::Comm& comm,
     // Pass A: collect the unstable refs that are not yet seeded; only they
     // need a lookup through the new table (collective when distributed —
     // every rank participates per loop, possibly with an empty batch).
+    // slot[lr] dedups repeated refs, so only unique globals are sorted.
     bool loop_stable = true;
-    std::vector<GlobalIndex> unknown;
+    std::vector<std::pair<GlobalIndex, GlobalIndex>> pending;  // (global, lr)
     for (GlobalIndex lr : pl.plan.local_refs) {
       const auto* e = rev[static_cast<std::size_t>(lr)];
       if (delta.home_stable(e->global)) continue;
       loop_stable = false;
-      if (hash_->find(e->global) == nullptr) unknown.push_back(e->global);
+      GlobalIndex& sl = slot[static_cast<std::size_t>(lr)];
+      if (sl != kNoSlot) continue;
+      sl = kPendingSlot;
+      if (hash_->find(e->global) == nullptr)
+        pending.emplace_back(e->global, lr);
     }
-    std::sort(unknown.begin(), unknown.end());
-    unknown.erase(std::unique(unknown.begin(), unknown.end()), unknown.end());
+    std::sort(pending.begin(), pending.end());
+    std::vector<GlobalIndex> unknown(pending.size());
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      // One old slot per global (a revived entry keeps its slot), so the
+      // deduped slots are deduped globals.
+      CHAOS_ASSERT(i == 0 || pending[i - 1].first != pending[i].first,
+                   "two old local slots name one global");
+      unknown[i] = pending[i].first;
+      slot[static_cast<std::size_t>(pending[i].second)] =
+          static_cast<GlobalIndex>(i);
+    }
     const std::vector<core::Home> fresh = dist.table().lookup(comm, unknown);
     stats_.seed_translations += unknown.size();
 
@@ -283,22 +304,22 @@ void ScheduleRegistry::seed_from(sim::Comm& comm,
     double seed_work = 0;
     for (GlobalIndex lr : pl.plan.local_refs) {
       const auto* e = rev[static_cast<std::size_t>(lr)];
-      const bool stable = delta.home_stable(e->global);
+      const GlobalIndex sl = slot[static_cast<std::size_t>(lr)];
+      const bool stable = sl == kNoSlot;
+      // An unstable ref takes the Home translated just above, unless an
+      // earlier loop already seeded it (kPendingSlot) — seed_ref ignores
+      // `home` then.
       core::Home home = e->home;
-      if (!stable) {
-        // Either translated just above, or already seeded (with its new
-        // Home) by an earlier loop — seed_ref ignores `home` then.
-        const auto it =
-            std::lower_bound(unknown.begin(), unknown.end(), e->global);
-        if (it != unknown.end() && *it == e->global)
-          home = fresh[static_cast<std::size_t>(it - unknown.begin())];
-      }
+      if (sl >= 0) home = fresh[static_cast<std::size_t>(sl)];
       const auto seeded = hash_->seed_ref(me, e->global, home, stamp, stable);
       seed_work += seeded.inserted ? core::costs::kSeedInsert
                                    : core::costs::kSeedHit;
       local_remap[static_cast<std::size_t>(lr)] = seeded.local_index;
       nl.plan.local_refs.push_back(seeded.local_index);
     }
+    // Reset the slots this loop touched for the next loop.
+    for (GlobalIndex lr : pl.plan.local_refs)
+      slot[static_cast<std::size_t>(lr)] = kNoSlot;
     nl.plan.local_extent = hash_->local_extent();
     comm.charge_work(seed_work);
 

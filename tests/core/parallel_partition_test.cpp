@@ -2,6 +2,8 @@
 // across ranks, chain slab structure, and relative cost ordering.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/parallel_partition.hpp"
 #include "core/translation_table.hpp"
 #include "partition/metrics.hpp"
@@ -150,16 +152,37 @@ TEST(ParallelPartition, MapFeedsTranslationTable) {
   });
 }
 
+// Runs an RCB partition of a `n`-element domain in which rank r contributes
+// the single id ids[r]; returns the error message, or "" if none was thrown.
+std::string partition_error(std::vector<GlobalIndex> ids, GlobalIndex n) {
+  Machine m(static_cast<int>(ids.size()));
+  try {
+    m.run([&](Comm& c) {
+      std::vector<GlobalIndex> mine{ids[static_cast<size_t>(c.rank())]};
+      std::vector<part::Point3> pts{{0.5 * c.rank(), 0, 0}};
+      std::vector<double> w{1.0};
+      parallel_partition(c, PartitionerKind::kRcb, mine, pts, w, n);
+    });
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
 TEST(ParallelPartition, RejectsNonDenseIds) {
-  Machine m(2);
-  EXPECT_THROW(m.run([](Comm& c) {
-                 // ids 0 and 5 on a 2-element domain: not a dense range.
-                 std::vector<GlobalIndex> ids{c.rank() == 0 ? 0 : 5};
-                 std::vector<part::Point3> pts{{0, 0, 0}};
-                 std::vector<double> w{1.0};
-                 parallel_partition(c, PartitionerKind::kRcb, ids, pts, w, 2);
-               }),
-               Error);
+  // ids 0 and 5 on a 2-element domain: not a dense range.
+  EXPECT_NE(partition_error({0, 5}, 2).find("dense range"), std::string::npos);
+  // Each record is placed at its id: a duplicate id (which leaves id 1
+  // missing), an id one past the end, and a negative id are all refused.
+  EXPECT_NE(partition_error({0, 0}, 2).find("dense range"), std::string::npos);
+  EXPECT_NE(partition_error({1, 1, 0}, 3).find("dense range"),
+            std::string::npos);
+  EXPECT_NE(partition_error({0, 2}, 2).find("dense range"), std::string::npos);
+  EXPECT_NE(partition_error({-1, 1}, 2).find("dense range"), std::string::npos);
+  // Too few records for the domain fails the coverage check instead.
+  EXPECT_NE(partition_error({0, 1}, 3).find("cover"), std::string::npos);
+  // A permutation of the dense range is accepted.
+  EXPECT_EQ(partition_error({2, 0, 1}, 3), "");
 }
 
 }  // namespace

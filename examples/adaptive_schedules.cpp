@@ -24,6 +24,7 @@
 
 #include "lang/array.hpp"
 #include "runtime/runtime.hpp"
+#include "runtime/step_graph.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 

@@ -171,18 +171,6 @@ class Driver {
       return static_cast<std::uint64_t>(
           comm_.allreduce_sum(static_cast<long long>(v)));
     };
-    // Arrival-driven counters depend on message arrival and differ per
-    // rank; report machine-wide sums.
-    const std::uint64_t fired = total(gs.chunks_fired_early);
-    const std::uint64_t wakeups = total(gs.arrival_wakeups);
-    const std::uint64_t colors = total(gs.color_classes);
-    const std::uint64_t busy = total(gs.pool_busy_ns);
-    if (comm_.rank() == 0) {
-      shared_.chunks_fired_early = fired;
-      shared_.arrival_wakeups = wakeups;
-      shared_.color_classes = colors;
-      shared_.pool_busy_ns = busy;
-    }
     for (std::size_t i = 0; i < graph_->size(); ++i) {
       const Step& s = graph_->at(i);
       ParallelCharmmResult::StepTraffic st;
@@ -451,8 +439,6 @@ class Driver {
             // bonded scatter legally overlaps the non-bonded compute.
             if (use_graph())
               force_bond_.assign(static_cast<size_t>(extent_), part::Vec3{});
-            if (shape() == CharmmShape::kStepGraphArrival)
-              build_chunk_pairs();
             charge_overhead(comm_.now() - t0, kCompilerInspectorOverhead);
 
             // Re-arm the step graph onto the (possibly repartitioned)
@@ -543,8 +529,7 @@ class Driver {
 
   bool use_graph() const {
     return shape() == CharmmShape::kStepGraph ||
-           shape() == CharmmShape::kStepGraphEager ||
-           shape() == CharmmShape::kStepGraphArrival;
+           shape() == CharmmShape::kStepGraphEager;
   }
 
   /// Declare the force cycle as a step graph: each step binds its array
@@ -556,56 +541,21 @@ class Driver {
   /// scatter-add of `force_bond_` stays in flight across the whole
   /// non-bonded compute — both overlaps the dependence analysis derives,
   /// while the integrate step's declared reads force both scatters to
-  /// deliver first. `cfg.declare_by_hand` keeps the PR-4 hand-declared
-  /// construction (the escape hatch the equivalence tests hold this one
-  /// against).
+  /// deliver first.
   void declare_graph() {
     graph_ = std::make_unique<StepGraph>(rt_);
     graph_->set_pipelining(shape() != CharmmShape::kStepGraphEager);
     // Dogfood the static analyzer: every shipped graph arms strict, so a
     // declaration defect fails fast here, not as a downstream data race.
     graph_->set_strict(true);
-    if (cfg_.declare_by_hand) {
-      graph_->step("bonded")
-          .reads(pos_, h_bond_)
-          .compute([this] { compute_bonded_step(); })
-          .writes_add(force_bond_, h_bond_);
-      graph_->step("nonbonded")
-          .reads(pos_, h_nb_)
-          .compute([this] { compute_nonbonded_step(); })
-          .writes_add(force_, h_nb_);
-      graph_->step("integrate")
-          .uses(force_)
-          .uses(force_bond_)
-          .updates(pos_)
-          .updates(vel_)
-          .compute([this] { integrate_graph(); });
-      return;
-    }
     graph_->step("bonded")
         .bind(in(pos_).via(h_bond_).named("pos"),
               sum(force_bond_).via(h_bond_).named("force_bond"))
         .compute([this] { compute_bonded_step(); });
-    Step& nonbonded = graph_->step("nonbonded")
-                          .bind(in(pos_).via(h_nb_).named("pos"),
-                                sum(force_).via(h_nb_).named("force"));
-    if (shape() == CharmmShape::kStepGraphArrival) {
-      // Message-driven arm: the pair list is split by the peer owning the
-      // off-processor partner, and each chunk fires as soon as that peer's
-      // ghost positions land. The chunks all accumulate into force_
-      // (conflicted — a pair's own-atom row is shared across chunks), so
-      // the graph requires the declared tolerance and serializes the
-      // chunks in arrival order.
-      nonbonded.compute([this] {
-        std::fill(force_.begin(), force_.end(), part::Vec3{});
-      });
-      nonbonded.compute_chunks(
-          [this](ChunkContext& ctx) { nonbonded_chunk(ctx); });
-      graph_->set_arrival_driven(true);
-      graph_->set_tolerance(EquivalenceTolerance{1e-12, 1e-9});
-    } else {
-      nonbonded.compute([this] { compute_nonbonded_step(); });
-    }
+    graph_->step("nonbonded")
+        .bind(in(pos_).via(h_nb_).named("pos"),
+              sum(force_).via(h_nb_).named("force"))
+        .compute([this] { compute_nonbonded_step(); });
     graph_->step("integrate")
         .bind(use(force_).named("force"), use(force_bond_).named("force_bond"),
               update(pos_).named("pos"), update(vel_).named("vel"))
@@ -636,60 +586,6 @@ class Driver {
       acc[static_cast<size_t>(lj)] = acc[static_cast<size_t>(lj)] - f;
     }
     comm_.charge_work(static_cast<double>(my_bonds_.size()) * kWorkPerBond);
-  }
-
-  /// Partition the non-bonded pair list by the peer owning the partner
-  /// atom (the recv block its ghost slot lands through): pairs whose
-  /// partner is owned or a self-block ghost go to the local chunk
-  /// (peer -1), the rest to their source peer's chunk. Rebuilt whenever
-  /// the list or the schedule changes — both land in build_schedules.
-  void build_chunk_pairs() {
-    chunk_pairs_.clear();
-    // Ghost slot -> source peer, from the non-bonded schedule's recv
-    // blocks (slot indices are local).
-    std::vector<int> src(static_cast<std::size_t>(extent_), -1);
-    const int me = comm_.rank();
-    for (const core::ScheduleBlock& b : rt_.schedule(h_nb_).recv_blocks()) {
-      if (b.proc == me) continue;
-      for (GlobalIndex idx : b.indices)
-        src[static_cast<std::size_t>(idx)] = b.proc;
-    }
-    const auto bucket = [&](int peer) -> std::vector<PairRef>& {
-      for (auto& [p, pairs] : chunk_pairs_)
-        if (p == peer) return pairs;
-      chunk_pairs_.emplace_back(peer, std::vector<PairRef>{});
-      return chunk_pairs_.back().second;
-    };
-    for (std::size_t r = 0; r + 1 < nb_.inblo.size(); ++r) {
-      for (GlobalIndex at = nb_.inblo[r]; at < nb_.inblo[r + 1]; ++at) {
-        const GlobalIndex lj = jnb_local_[static_cast<size_t>(at)];
-        bucket(src[static_cast<std::size_t>(lj)])
-            .push_back(PairRef{static_cast<GlobalIndex>(r), lj});
-      }
-    }
-  }
-
-  /// One arrival-driven chunk of the non-bonded loop: the pairs whose
-  /// partner came from this chunk's peer. Work is charged through the
-  /// context, not the Comm (thread-safety contract for chunk callbacks).
-  void nonbonded_chunk(ChunkContext& ctx) {
-    const double box = cfg_.system.box;
-    const std::vector<PairRef>* pairs = nullptr;
-    for (const auto& [p, list] : chunk_pairs_)
-      if (p == ctx.chunk().peer) {
-        pairs = &list;
-        break;
-      }
-    if (pairs == nullptr) return;  // peer gathered only bonded ghosts
-    for (const PairRef& pr : *pairs) {
-      const std::size_t r = static_cast<std::size_t>(pr.row);
-      const std::size_t lj = static_cast<std::size_t>(pr.partner);
-      const part::Vec3 f =
-          nonbonded_force(pos_[r], pos_[lj], cfg_.system.cutoff, box);
-      force_[r] = force_[r] + f;
-      force_[lj] = force_[lj] - f;
-    }
-    ctx.charge(static_cast<double>(pairs->size()) * kWorkPerNonbonded);
   }
 
   /// Non-bonded loop: outer iteration r is the owned atom at offset r.
@@ -772,7 +668,6 @@ class Driver {
           break;
         case CharmmShape::kStepGraph:
         case CharmmShape::kStepGraphEager:
-        case CharmmShape::kStepGraphArrival:
           CHAOS_ASSERT(false);  // handled above
           break;
       }
@@ -797,7 +692,6 @@ class Driver {
           break;
         case CharmmShape::kStepGraph:
         case CharmmShape::kStepGraphEager:
-        case CharmmShape::kStepGraphArrival:
           break;
       }
 
@@ -843,14 +737,6 @@ class Driver {
   std::vector<std::pair<GlobalIndex, GlobalIndex>> my_bonds_;
 
   NonbondedList nb_;  // rows = my_globals_
-
-  /// Arrival-shape pair partition: (peer, pairs) buckets; peer -1 holds
-  /// the local pairs. A pair is (owned row, localized partner).
-  struct PairRef {
-    GlobalIndex row;
-    GlobalIndex partner;
-  };
-  std::vector<std::pair<int, std::vector<PairRef>>> chunk_pairs_;
 
   // Irregular-loop descriptors: two indirection arrays (bonded refs,
   // non-bonded partners) and their runtime handles.

@@ -28,14 +28,6 @@ enum class CharmmShape {
   /// The same step graph executed eagerly — post/flush/wait at every step.
   /// The bitwise reference arm for kStepGraph.
   kStepGraphEager,
-  /// Message-driven arm: the non-bonded compute is split into partition
-  /// chunks keyed by the gather schedule's recv peers, and each chunk
-  /// fires the moment its peer's ghost positions land instead of waiting
-  /// for the whole gather batch. The non-bonded chunks share one force
-  /// accumulator (conflicted), so this arm runs under a declared
-  /// EquivalenceTolerance — arrival order reorders the floating-point
-  /// accumulation within the declared bound.
-  kStepGraphArrival,
   /// One merged gather/scatter schedule for both force loops (Table 3 a).
   kMerged,
   /// Separate blocking schedules per loop (Table 3 b): duplicated fetches
@@ -69,13 +61,6 @@ struct ParallelCharmmConfig {
   /// periodic non-bonded list rebuild cadence is unaffected.
   bool autonomic = false;
   balance::PolicyConfig policy;
-
-  /// Build the step graph from hand-declared access sets (reads/
-  /// writes_add/uses/updates) instead of typed view bindings. The two
-  /// constructions are bitwise-identical by contract — this flag keeps the
-  /// low-level declaration arm alive for the equivalence tests and as the
-  /// documented escape hatch.
-  bool declare_by_hand = false;
 
   /// Route the adaptive non-bonded loop through the compiler-generated path
   /// (per-step modification-record guards on the runtime's schedule
@@ -139,17 +124,6 @@ struct ParallelCharmmResult {
   std::uint64_t steps_overlapped = 0;
   std::uint64_t pipelined_gathers = 0;
   std::uint64_t hazard_stalls = 0;
-
-  /// Message-driven execution accounting (kStepGraphArrival), summed over
-  /// ranks — unlike the arming counters above these are arrival-dependent
-  /// and genuinely differ per rank: chunks that fired while their step's
-  /// gather batch was still partially outstanding, sleeps for "any useful
-  /// message", color classes over built chunk plans, and pool worker
-  /// busy-time.
-  std::uint64_t chunks_fired_early = 0;
-  std::uint64_t arrival_wakeups = 0;
-  std::uint64_t color_classes = 0;
-  std::uint64_t pool_busy_ns = 0;
 
   /// Autonomic mode: rebalances the policy fired (= diffusions +
   /// rebuilds); replicated decisions, identical on every rank.

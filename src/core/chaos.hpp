@@ -10,7 +10,9 @@
 //
 // chaos::Runtime (runtime/runtime.hpp) is the descriptor-based facade over
 // all six phases — new code should drive them through its typed handles
-// rather than the free functions below (see docs/API.md).
+// rather than the free functions below (see docs/API.md). Arrays are
+// chaos::Array<T> (lang/array.hpp); loops are declared on a StepGraph,
+// with chaos::forall as the one-step form (runtime/step_graph.hpp).
 #pragma once
 
 #include "core/hash_table.hpp"

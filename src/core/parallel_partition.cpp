@@ -32,13 +32,18 @@ struct ElementRecord {
 // (the partition itself is computed deterministically below); the
 // collectives charge the model what the parallel algorithm pays — this is
 // the P-growing term that makes recursive bisection lose to the chain
-// partitioner at scale (Tables 2 and 5).
+// partitioner at scale (Tables 2 and 5). Only the first round is a real
+// collective: it lines the rank clocks up, after which every round costs
+// each rank the same fixed allgather time, so the rest are charged
+// analytically (the same clock, without levels x 24 host barriers).
 void charge_bisection_rounds(sim::Comm& comm) {
-  const int levels = sim::hypercube_steps(comm.size());
   constexpr int kMedianIterations = 24;
-  for (int l = 0; l < levels; ++l)
-    for (int it = 0; it < kMedianIterations; ++it)
-      (void)comm.allgather(0.0);
+  const int rounds = sim::hypercube_steps(comm.size()) * kMedianIterations;
+  if (rounds == 0) return;
+  (void)comm.allgather(0.0);
+  const double round_s = comm.model().allgather_cost(
+      comm.size(), static_cast<std::uint64_t>(comm.size()) * sizeof(double));
+  for (int r = 1; r < rounds; ++r) comm.charge_comm_seconds(round_s);
 }
 
 }  // namespace

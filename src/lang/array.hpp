@@ -17,7 +17,7 @@
 //       .compute([&] { ... x[j] ... f[j] ... });
 //
 // Vocabulary (each factory returns a binding consumable by Step::bind and
-// chaos::forall):
+// chaos::forall, the one-step graph in runtime/step_graph.hpp):
 //   in(x).via(h)     gather x's off-processor ghosts through schedule h
 //                    before the compute (AccessKind::kGather)
 //   out(x).via(h)    push x's ghost writes back to their owners after the
@@ -183,7 +183,7 @@ struct Binding {
   /// Array-backed bindings: probe of the array's binding revision, so a
   /// retargeted Array cannot be driven through a stale graph binding.
   std::function<std::uint64_t()> revision;
-  /// Set on self-managing accumulators (sum over Array/DistributedArray):
+  /// Set on self-managing accumulators (sum over an Array):
   /// the prepare zeroes the ghost region before the compute. A step may
   /// not also gather the same array — the ghost slots cannot hold both
   /// the gathered values and zeroed accumulation (Step::resolve rejects).
@@ -240,48 +240,6 @@ Binding comm_binding(lang::AccessKind kind, Array<T>* a) {
       b.zeroes_ghosts = true;
       b.prepare = [a](Runtime& rt, ScheduleHandle) {
         const GlobalIndex extent = rt.local_extent(a->dist());
-        a->ensure_extent(extent);
-        for (GlobalIndex i = a->owned(); i < extent; ++i) (*a)[i] = T{};
-      };
-      b.post = [a](Runtime& rt, ScheduleHandle h) {
-        return rt.scatter_add_async<T>(h, a->local());
-      };
-      break;
-    default:
-      CHAOS_ASSERT(false, "comm_binding: not a communication kind");
-  }
-  return b;
-}
-
-/// lang::DistributedArray flavor: identical conventions to the Step
-/// hand-declared overloads (ensure_extent on gathers/scatters, ghost
-/// zeroing on scatter-adds), so a view over a DistributedArray agrees
-/// bitwise with a hand declaration on the same container.
-template <typename T>
-Binding comm_binding(lang::AccessKind kind, lang::DistributedArray<T>* a) {
-  Binding b;
-  b.decl = {kind, a, nullptr};
-  switch (kind) {
-    case lang::AccessKind::kGather:
-      b.prepare = [a](Runtime& rt, ScheduleHandle h) {
-        a->ensure_extent(rt.extent(h));
-      };
-      b.post = [a](Runtime& rt, ScheduleHandle h) {
-        return rt.gather_async<T>(h, a->local());
-      };
-      break;
-    case lang::AccessKind::kScatter:
-      b.prepare = [a](Runtime& rt, ScheduleHandle h) {
-        a->ensure_extent(rt.extent(h));
-      };
-      b.post = [a](Runtime& rt, ScheduleHandle h) {
-        return rt.scatter_async<T>(h, a->local());
-      };
-      break;
-    case lang::AccessKind::kScatterAdd:
-      b.zeroes_ghosts = true;
-      b.prepare = [a](Runtime& rt, ScheduleHandle h) {
-        const GlobalIndex extent = rt.extent(h);
         a->ensure_extent(extent);
         for (GlobalIndex i = a->owned(); i < extent; ++i) (*a)[i] = T{};
       };
@@ -394,10 +352,6 @@ template <typename T>
 views::CommView<std::vector<T>> in(std::vector<T>& v) {
   return {lang::AccessKind::kGather, v};
 }
-template <typename T>
-views::CommView<lang::DistributedArray<T>> in(lang::DistributedArray<T>& a) {
-  return {lang::AccessKind::kGather, a};
-}
 
 template <typename T>
 views::CommView<Array<T>> out(Array<T>& a) {
@@ -407,10 +361,6 @@ template <typename T>
 views::CommView<std::vector<T>> out(std::vector<T>& v) {
   return {lang::AccessKind::kScatter, v};
 }
-template <typename T>
-views::CommView<lang::DistributedArray<T>> out(lang::DistributedArray<T>& a) {
-  return {lang::AccessKind::kScatter, a};
-}
 
 template <typename T>
 views::CommView<Array<T>> sum(Array<T>& a) {
@@ -419,10 +369,6 @@ views::CommView<Array<T>> sum(Array<T>& a) {
 template <typename T>
 views::CommView<std::vector<T>> sum(std::vector<T>& v) {
   return {lang::AccessKind::kScatterAdd, v};
-}
-template <typename T>
-views::CommView<lang::DistributedArray<T>> sum(lang::DistributedArray<T>& a) {
-  return {lang::AccessKind::kScatterAdd, a};
 }
 
 /// Local-read binding: the compute reads `c`, no communication.
@@ -460,117 +406,6 @@ views::Binding update(C& c) {
 template <typename T>
 views::MigrateView<T> migrate(std::vector<T>& items) {
   return views::MigrateView<T>(items);
-}
-
-// ---- forall: the generalized view-based irregular loop ---------------------
-
-/// One irregular-loop execution assembled from views — the generalized
-/// FORALL (paper §5.2) on the typed API. The loop's indirection array is
-/// inspected (registry-cached); views without an explicit .via ride the
-/// loop's own schedule. Execution order matches a one-step eager graph:
-/// gathers post as one engine batch, the body runs against the localized
-/// references, writes post as a second batch.
-class Forall {
- public:
-  Forall(Runtime& rt, DistHandle dist, const lang::IndirectionArray& ind)
-      : rt_(rt), dist_(dist), ind_(&ind) {}
-
-  Forall& add(views::Binding b) {
-    CHAOS_CHECK(b.decl.kind != lang::AccessKind::kMigrate,
-                "forall cannot bind migrate() views — declare a StepGraph "
-                "step instead");
-    bindings_.push_back(std::move(b));
-    return *this;
-  }
-
-  /// Inspect, gather, run `body(localized_refs)`, scatter. Returns the
-  /// loop handle for reuse (e.g. rt.merge with other loops). Collective.
-  template <typename Body>
-  LoopHandle run(Body&& body) {
-    // Same guard as Step::resolve: a self-zeroing accumulator (sum over
-    // Array/DistributedArray) zeroes the ghost region after the gathers
-    // delivered — combined with a gather of the SAME array it would
-    // silently wipe the gathered ghosts before the body reads them.
-    for (const views::Binding& w : bindings_) {
-      if (!w.zeroes_ghosts) continue;
-      for (const views::Binding& g : bindings_) {
-        if (g.decl.kind == lang::AccessKind::kGather &&
-            g.decl.array == w.decl.array) {
-          throw Error(
-              "forall: array '" +
-              (w.name.empty() ? "<unnamed>" : w.name) +
-              "' is gathered (in) and bound as a self-zeroing accumulator "
-              "(sum) in one loop — its ghost slots cannot hold both the "
-              "gathered values and the zeroed accumulation. Use a raw "
-              "std::vector binding (the body owns ghost zeroing) or "
-              "separate loops");
-        }
-      }
-    }
-    const LoopHandle loop = rt_.bind(dist_, *ind_);
-    const ScheduleHandle own = rt_.inspect(loop);
-    const auto via = [&](const views::Binding& b) {
-      return b.has_via ? b.via : own;
-    };
-    const auto is_write = [](const views::Binding& b) {
-      return b.decl.kind == lang::AccessKind::kScatter ||
-             b.decl.kind == lang::AccessKind::kScatterAdd;
-    };
-
-    std::vector<comm::CommHandle> pending;
-    for (views::Binding& b : bindings_)
-      if (b.decl.kind == lang::AccessKind::kGather && b.prepare)
-        b.prepare(rt_, via(b));
-    for (views::Binding& b : bindings_)
-      if (b.decl.kind == lang::AccessKind::kGather)
-        pending.push_back(b.post(rt_, via(b)));
-    if (!pending.empty()) {
-      rt_.comm_flush();
-      for (comm::CommHandle h : pending) rt_.comm_wait(h);
-      pending.clear();
-    }
-
-    for (views::Binding& b : bindings_)
-      if (is_write(b) && b.prepare) b.prepare(rt_, via(b));
-
-    body(rt_.local_refs(loop));
-
-    for (views::Binding& b : bindings_)
-      if (is_write(b)) pending.push_back(b.post(rt_, via(b)));
-    if (!pending.empty()) {
-      rt_.comm_flush();
-      for (comm::CommHandle h : pending) rt_.comm_wait(h);
-    }
-    return loop;
-  }
-
- private:
-  Runtime& rt_;
-  DistHandle dist_;
-  const lang::IndirectionArray* ind_;
-  std::vector<views::Binding> bindings_;
-};
-
-/// forall(rt, dist, ind, in(y), sum(x)).run([&](auto lrefs) { ... });
-template <typename... Vs>
-Forall forall(Runtime& rt, DistHandle dist, const lang::IndirectionArray& ind,
-              Vs&&... vs) {
-  Forall f(rt, dist, ind);
-  (f.add(views::Binding(std::forward<Vs>(vs))), ...);
-  return f;
-}
-
-/// REDUCE(SUM, acc(ind(j)), ...) on the typed API: gather `data`'s ghosts,
-/// run the body against localized references, scatter-add `acc`'s ghost
-/// contributions home — the view-based rebase of lang::forall_reduce_sum
-/// (which remains the registry-level lowering underneath the facade).
-template <typename TData, typename TAcc, typename Body>
-LoopHandle forall_reduce_sum(Runtime& rt, DistHandle dist,
-                             const lang::IndirectionArray& ind,
-                             Array<TData>& data, Array<TAcc>& acc,
-                             Body&& body) {
-  return forall(rt, dist, ind, in(data), sum(acc))
-      .run(std::forward<Body>(body));
 }
 
 }  // namespace chaos

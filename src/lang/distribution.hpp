@@ -5,13 +5,12 @@
 //   DISTRIBUTE reg(BLOCK)         -> Distribution::block(comm, N)
 //   DISTRIBUTE reg(CYCLIC)        -> Distribution::cyclic(comm, N)
 //   DISTRIBUTE irreg(map)         -> Distribution::irregular(comm, map)
-//   ALIGN x, y WITH irreg         -> DistributedArray<T> constructed over
-//                                    the same Distribution
+//   ALIGN x, y WITH irreg         -> chaos::Array<T> bound to the
+//                                    distribution's handle (lang/array.hpp)
 //
 // A Distribution owns the translation table; executable re-DISTRIBUTE
-// statements are expressed by constructing a new Distribution and remapping
-// aligned arrays with a Remapper (distribution.hpp + distributed_array.hpp
-// together implement Phase A/B of the runtime).
+// statements are expressed by constructing a new Distribution and moving
+// aligned arrays onto it with Array::retarget (Phase A/B of the runtime).
 #pragma once
 
 #include <atomic>

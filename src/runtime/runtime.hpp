@@ -18,12 +18,11 @@
 //                   schedule, or a one-shot inspector result
 //
 // Executor primitives (gather / scatter / scatter_add / migrate / append,
-// Phase F) take handles, and the fluent loop builder
-//
-//   rt.loop(dist).indirection(ind).gather(x).scatter_add(f).run(body);
-//
-// lowers to inspect -> gather -> body(localized refs) -> scatter_add with
-// inspector caching driven by the indirection array's modification record.
+// Phase F) take handles. Whole loops are declared on a chaos::StepGraph
+// (runtime/step_graph.hpp) with chaos::Array view bindings; chaos::forall,
+// in the same header, is the one-step form: inspect -> gather ->
+// body(localized refs) -> scatter_add, with inspector caching driven by
+// the indirection array's modification record.
 //
 // Handle validity: handles are descriptors, not snapshots. Re-inspecting a
 // changed loop updates the loop's schedule in place (its handles stay
@@ -35,7 +34,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <initializer_list>
 #include <map>
 #include <memory>
@@ -49,7 +47,6 @@
 #include "core/remap.hpp"
 #include "core/schedule.hpp"
 #include "core/transport.hpp"
-#include "lang/distributed_array.hpp"
 #include "lang/distribution.hpp"
 #include "lang/forall.hpp"
 #include "lang/indirection.hpp"
@@ -85,7 +82,6 @@ struct ScheduleHandle {
 /// Iteration-partitioning policy (Phase C, paper §3.1).
 enum class IterationPolicy { kOwnerComputes, kAlmostOwnerComputes };
 
-class LoopBuilder;
 class StepGraph;
 
 namespace balance {
@@ -303,15 +299,6 @@ class Runtime {
     return dst;
   }
 
-  /// Move one aligned DistributedArray to the plan's target distribution
-  /// (the ghost region is discarded; re-run the inspector afterwards).
-  template <typename T>
-  void remap(ScheduleHandle h, lang::DistributedArray<T>& array) {
-    lang::DistributedArray<T> fresh(checked(h).new_owned);
-    remap<T>(h, array.owned_region(), fresh.local());
-    array = std::move(fresh);
-  }
-
   /// Asynchronous remap execution: post the plan's data motion on the comm
   /// engine (for delta plans this ships only the owner delta's moved
   /// elements; on-rank survivors are copied at post time) and return
@@ -411,13 +398,6 @@ class Runtime {
   }
 
   template <typename T>
-  void gather(ScheduleHandle h, lang::DistributedArray<T>& a) {
-    const ScheduleEntry& e = checked(h);
-    a.ensure_extent(extent_of(e));
-    core::gather<T>(comm_, schedule_of(e), a.local(), plan_of(e));
-  }
-
-  template <typename T>
   void scatter(ScheduleHandle h, std::span<T> data) {
     const ScheduleEntry& e = checked(h);
     CHAOS_CHECK(static_cast<GlobalIndex>(data.size()) >= extent_of(e),
@@ -431,13 +411,6 @@ class Runtime {
     CHAOS_CHECK(static_cast<GlobalIndex>(data.size()) >= extent_of(e),
                 "data array smaller than the schedule's local extent");
     core::scatter_add<T>(comm_, schedule_of(e), data, plan_of(e));
-  }
-
-  template <typename T>
-  void scatter_add(ScheduleHandle h, lang::DistributedArray<T>& a) {
-    const ScheduleEntry& e = checked(h);
-    a.ensure_extent(extent_of(e));
-    core::scatter_add<T>(comm_, schedule_of(e), a.local(), plan_of(e));
   }
 
   // ---- Phase F, asynchronous: the communication engine ----------------
@@ -517,9 +490,6 @@ class Runtime {
     return lang::recompute_row_sizes(comm_, dist(rows), dest_rows);
   }
 
-  /// Fluent executor for one irregular loop over `dist`.
-  LoopBuilder loop(DistHandle dist);
-
   // ---- the declarative step-graph executor ---------------------------
   //
   // The preferred executor surface: declare each step's array accesses on
@@ -576,8 +546,9 @@ class Runtime {
   const std::vector<balance::Report>& balance_reports() const;
 
  private:
-  friend class LoopBuilder;
   friend class StepGraph;
+  /// Read-only introspection hook for the unit tests (registered graphs).
+  friend struct RuntimeInternals;
 
   /// StepGraph self-registration (ctor/dtor), so registry_bytes/compact can
   /// account and release the graphs' cached chunk plans and color tables.
@@ -677,80 +648,5 @@ class Runtime {
       derived_keys_;
   std::map<std::uint32_t, std::uint32_t> once_keys_;  // dist -> kOnce handle
 };
-
-/// Fluent builder for one irregular-loop execution: binds an indirection
-/// array, gathers read arrays, runs the body against localized references,
-/// scatters reductions back. Lowers to the same inspector/executor
-/// primitives as the FORALL templates (paper §5.2).
-class LoopBuilder {
- public:
-  LoopBuilder& indirection(const lang::IndirectionArray& ind) {
-    ind_ = &ind;
-    return *this;
-  }
-
-  /// Gather ghost values of `a` before the body runs.
-  template <typename T>
-  LoopBuilder& gather(lang::DistributedArray<T>& a) {
-    pre_.push_back([&a](Runtime& rt, ScheduleHandle h) { rt.gather(h, a); });
-    return *this;
-  }
-
-  /// Zero `acc`'s ghost slots before the body and scatter-add them back to
-  /// their owners after.
-  template <typename T>
-  LoopBuilder& scatter_add(lang::DistributedArray<T>& acc) {
-    pre_.push_back([&acc](Runtime& rt, ScheduleHandle h) {
-      const GlobalIndex extent = rt.extent(h);
-      acc.ensure_extent(extent);
-      for (GlobalIndex i = acc.owned(); i < extent; ++i) acc[i] = T{};
-    });
-    post_.push_back(
-        [&acc](Runtime& rt, ScheduleHandle h) { rt.scatter_add(h, acc); });
-    return *this;
-  }
-
-  /// Push ghost writes of `a` back to their owners after the body
-  /// (replacement semantics). The ghost region is sized before the body
-  /// runs so it can write the slots it scatters.
-  template <typename T>
-  LoopBuilder& scatter(lang::DistributedArray<T>& a) {
-    pre_.push_back([&a](Runtime& rt, ScheduleHandle h) {
-      a.ensure_extent(rt.extent(h));
-    });
-    post_.push_back([&a](Runtime& rt, ScheduleHandle h) {
-      rt.scatter(h, a.local());
-    });
-    return *this;
-  }
-
-  /// Inspect (cached), run the pre-actions, execute `body` with the
-  /// localized references, run the post-actions. Returns the loop handle
-  /// for later re-use (e.g. rt.merge with other loops).
-  template <typename Body>
-  LoopHandle run(Body&& body) {
-    CHAOS_CHECK(ind_ != nullptr, "loop builder needs an indirection array");
-    const LoopHandle loop = rt_.bind(dist_, *ind_);
-    const ScheduleHandle sched = rt_.inspect(loop);
-    for (auto& f : pre_) f(rt_, sched);
-    body(rt_.local_refs(loop));
-    for (auto& f : post_) f(rt_, sched);
-    return loop;
-  }
-
- private:
-  friend class Runtime;
-  LoopBuilder(Runtime& rt, DistHandle dist) : rt_(rt), dist_(dist) {}
-
-  Runtime& rt_;
-  DistHandle dist_;
-  const lang::IndirectionArray* ind_ = nullptr;
-  std::vector<std::function<void(Runtime&, ScheduleHandle)>> pre_, post_;
-};
-
-inline LoopBuilder Runtime::loop(DistHandle dist) {
-  (void)dist_entry(dist);  // validate now, not at run()
-  return LoopBuilder(*this, dist);
-}
 
 }  // namespace chaos

@@ -46,6 +46,9 @@
 // stale. Array extents must be stable between quiesces (re-inspection,
 // which changes extents, requires a quiesce anyway).
 //
+// chaos::forall (end of this header) is the one-step form: a single
+// irregular loop runs as a temporary eager graph of one step.
+//
 // The raw post/flush/wait surface (rt.gather_async & friends) remains the
 // low-level escape hatch for patterns the declaration set cannot express.
 #pragma once
@@ -150,7 +153,7 @@ class Step {
   /// pre-compute gather, out/sum(x).via(h) a post-compute scatter /
   /// scatter-add, migrate(items).to(d).into(o) a post-compute migration,
   /// use(x)/update(x) local effects. Communication views bound to a step
-  /// must carry .via(schedule) (only forall may omit it).
+  /// must carry .via(schedule) (forall fills in the loop's own).
   template <typename... Bs>
   Step& bind(Bs&&... bs) {
     (bind_view(views::Binding(std::forward<Bs>(bs))), ...);
@@ -170,21 +173,6 @@ class Step {
       return rt.gather_async<T>(h, std::span<T>{data.data(), data.size()});
     };
     gathers_.push_back(std::move(a));
-    return *this;
-  }
-
-  template <typename T>
-  Step& reads(lang::DistributedArray<T>& a, ScheduleHandle via) {
-    CommAccess acc;
-    acc.decl = {lang::AccessKind::kGather, &a, nullptr};
-    acc.via = via;
-    acc.prepare = [&a](Runtime& rt, ScheduleHandle h) {
-      a.ensure_extent(rt.extent(h));
-    };
-    acc.post = [&a](Runtime& rt, ScheduleHandle h) {
-      return rt.gather_async<T>(h, a.local());
-    };
-    gathers_.push_back(std::move(acc));
     return *this;
   }
 
@@ -212,26 +200,6 @@ class Step {
     a.post = [&data](Runtime& rt, ScheduleHandle h) {
       return rt.scatter_add_async<T>(h,
                                      std::span<T>{data.data(), data.size()});
-    };
-    writes_.push_back(std::move(a));
-    return *this;
-  }
-
-  /// DistributedArray flavor: sizes the ghost region and zeroes it before
-  /// the compute (the LoopBuilder accumulator convention).
-  template <typename T>
-  Step& writes_add(lang::DistributedArray<T>& acc, ScheduleHandle via) {
-    CommAccess a;
-    a.decl = {lang::AccessKind::kScatterAdd, &acc, nullptr};
-    a.via = via;
-    a.zeroes_ghosts = true;
-    a.prepare = [&acc](Runtime& rt, ScheduleHandle h) {
-      const GlobalIndex extent = rt.extent(h);
-      acc.ensure_extent(extent);
-      for (GlobalIndex i = acc.owned(); i < extent; ++i) acc[i] = T{};
-    };
-    a.post = [&acc](Runtime& rt, ScheduleHandle h) {
-      return rt.scatter_add_async<T>(h, acc.local());
     };
     writes_.push_back(std::move(a));
     return *this;
@@ -378,9 +346,8 @@ class Step {
     std::function<std::uint64_t()> revision;
     std::uint64_t expected_revision = 0;
     /// The prepare zeroes the ghost region (self-managing accumulators:
-    /// sum over Array / writes_add over DistributedArray). Resolve
-    /// rejects combining one with a gather of the same array in the same
-    /// step — the ghost slots cannot hold both.
+    /// sum over an Array). Resolve rejects combining one with a gather of
+    /// the same array in the same step — the ghost slots cannot hold both.
     bool zeroes_ghosts = false;
     /// Migrate accesses: destination-ranks container, part of the
     /// hand-declared-vs-inferred agreement identity.
@@ -634,5 +601,75 @@ class StepGraph {
   std::vector<std::size_t> posted_write_order_;
   Stats stats_;
 };
+
+// ---- forall: the one-step graph --------------------------------------------
+
+/// One irregular-loop execution assembled from views — the generalized
+/// FORALL (paper §5.2) on the typed API, run as a one-step eager StepGraph.
+/// The loop's indirection array is inspected (registry-cached); views
+/// without an explicit .via ride the loop's own schedule. The graph posts
+/// the gathers as one engine batch, runs the body against the localized
+/// references, and posts the writes as a second batch.
+class Forall {
+ public:
+  Forall(Runtime& rt, DistHandle dist, const lang::IndirectionArray& ind)
+      : rt_(rt), dist_(dist), ind_(&ind) {}
+
+  Forall& add(views::Binding b) {
+    CHAOS_CHECK(b.decl.kind != lang::AccessKind::kMigrate,
+                "forall cannot bind migrate() views — declare a StepGraph "
+                "step instead");
+    bindings_.push_back(std::move(b));
+    return *this;
+  }
+
+  /// Inspect, gather, run `body(localized_refs)`, scatter. Returns the
+  /// loop handle for reuse (e.g. rt.merge with other loops). Collective.
+  template <typename Body>
+  LoopHandle run(Body&& body) {
+    const LoopHandle loop = rt_.bind(dist_, *ind_);
+    const ScheduleHandle own = rt_.inspect(loop);
+    StepGraph graph(rt_);
+    graph.set_pipelining(false);
+    Step& step = graph.step("forall");
+    for (views::Binding b : bindings_) {
+      if (!b.has_via) {
+        b.via = own;
+        b.has_via = true;
+      }
+      step.bind(std::move(b));
+    }
+    step.compute([&] { body(rt_.local_refs(loop)); });
+    rt_.run(graph, 1);
+    return loop;
+  }
+
+ private:
+  Runtime& rt_;
+  DistHandle dist_;
+  const lang::IndirectionArray* ind_;
+  std::vector<views::Binding> bindings_;
+};
+
+/// forall(rt, dist, ind, in(y), sum(x)).run([&](auto lrefs) { ... });
+template <typename... Vs>
+Forall forall(Runtime& rt, DistHandle dist, const lang::IndirectionArray& ind,
+              Vs&&... vs) {
+  Forall f(rt, dist, ind);
+  (f.add(views::Binding(std::forward<Vs>(vs))), ...);
+  return f;
+}
+
+/// REDUCE(SUM, acc(ind(j)), ...) on the typed API: gather `data`'s ghosts,
+/// run the body against localized references, scatter-add `acc`'s ghost
+/// contributions home.
+template <typename TData, typename TAcc, typename Body>
+LoopHandle forall_reduce_sum(Runtime& rt, DistHandle dist,
+                             const lang::IndirectionArray& ind,
+                             Array<TData>& data, Array<TAcc>& acc,
+                             Body&& body) {
+  return forall(rt, dist, ind, in(data), sum(acc))
+      .run(std::forward<Body>(body));
+}
 
 }  // namespace chaos

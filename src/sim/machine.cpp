@@ -50,8 +50,15 @@ void Comm::send_bytes(int dst, int tag, std::span<const std::byte> bytes) {
 
 std::vector<std::byte> Comm::recv_bytes(int src, int tag) {
   CHAOS_CHECK(src >= 0 && src < nranks_, "recv source out of range");
-  Message msg = m_.mailboxes_[static_cast<std::size_t>(rank_)]->pop(
-      src, tag, m_.aborted_);
+  std::optional<Message> popped =
+      m_.mailboxes_[static_cast<std::size_t>(rank_)]->pop(
+          src, tag, m_.aborted_, m_.exited_[static_cast<std::size_t>(src)]);
+  if (!popped)
+    throw Error("rank " + std::to_string(rank_) + " waits in recv(src=" +
+                std::to_string(src) + ", tag=" + std::to_string(tag) +
+                "), but rank " + std::to_string(src) +
+                " has exited without sending a matching message");
+  Message& msg = *popped;
   const double ready = std::max(st_.clock, msg.arrival);
   const double done = ready + m_.model_.message_recv_cost();
   st_.comm_s += done - st_.clock;
@@ -87,11 +94,11 @@ void Comm::wait_until(double t) {
   st_.clock = t;
 }
 
-void Comm::publish_bytes(std::span<const std::byte> bytes) {
+void Comm::publish_bytes(std::span<const std::byte> bytes, const char* op) {
   auto& slot = m_.stage_[static_cast<std::size_t>(rank_)];
   slot.assign(bytes.begin(), bytes.end());
   m_.stage_clock_[static_cast<std::size_t>(rank_)] = st_.clock;
-  m_.phase_sync();  // everyone has published
+  m_.phase_sync(rank_, op);  // everyone has published
 }
 
 std::span<const std::byte> Comm::peer_bytes(int r) const {
@@ -100,12 +107,12 @@ std::span<const std::byte> Comm::peer_bytes(int r) const {
   return {slot.data(), slot.size()};
 }
 
-void Comm::finish_staged(double modeled_cost) {
+void Comm::finish_staged(double modeled_cost, const char* op) {
   // The collective completes, for every rank, at the time the slowest rank
   // entered it plus the modeled cost of the collective algorithm.
   const double entry_max =
       *std::max_element(m_.stage_clock_.begin(), m_.stage_clock_.end());
-  m_.phase_sync();  // everyone has read; staging may be reused
+  m_.phase_sync(rank_, op);  // everyone has read; staging may be reused
   const double done = entry_max + modeled_cost;
   if (done > st_.clock) {
     st_.comm_s += done - st_.clock;
@@ -119,8 +126,8 @@ void Comm::charge_collective(double modeled_cost) {
 }
 
 void Comm::barrier() {
-  publish_bytes({});
-  finish_staged(m_.model_.barrier_cost(nranks_));
+  publish_bytes({}, "barrier");
+  finish_staged(m_.model_.barrier_cost(nranks_), "barrier");
 }
 
 int Comm::next_internal_tag() {
@@ -142,6 +149,8 @@ Machine::Machine(int nranks, CostParams params)
   stage_.resize(static_cast<std::size_t>(nranks));
   stage_clock_.resize(static_cast<std::size_t>(nranks), 0.0);
   final_stats_.resize(static_cast<std::size_t>(nranks));
+  exited_ = std::make_unique<std::atomic<bool>[]>(
+      static_cast<std::size_t>(nranks));
 }
 
 void Machine::set_delivery_permutation(std::uint64_t seed, double spread) {
@@ -150,7 +159,7 @@ void Machine::set_delivery_permutation(std::uint64_t seed, double spread) {
   for (auto& mb : mailboxes_) mb->set_delivery_jitter(seed, spread);
 }
 
-void Machine::phase_sync() {
+void Machine::phase_sync(int rank, const char* op) {
   std::unique_lock<std::mutex> lk(sync_mu_);
   const std::uint64_t gen = sync_generation_;
   if (++sync_count_ == nranks_) {
@@ -161,10 +170,31 @@ void Machine::phase_sync() {
   }
   sync_cv_.wait(lk, [&] {
     return sync_generation_ != gen ||
-           aborted_.load(std::memory_order_relaxed);
+           aborted_.load(std::memory_order_relaxed) || first_exited() >= 0;
   });
-  if (sync_generation_ == gen && aborted_.load(std::memory_order_relaxed))
-    throw Aborted{};
+  if (sync_generation_ != gen) return;
+  if (aborted_.load(std::memory_order_relaxed)) throw Aborted{};
+  throw Error("rank " + std::to_string(rank) + " waits in " + op +
+              ", but rank " + std::to_string(first_exited()) +
+              " has exited without joining it");
+}
+
+void Machine::mark_exited(int r) {
+  exited_[static_cast<std::size_t>(r)].store(true, std::memory_order_release);
+  {
+    // Under the lock: a waiter between its predicate check and its wait
+    // cannot miss the wakeup.
+    std::lock_guard<std::mutex> lk(sync_mu_);
+    sync_cv_.notify_all();
+  }
+  for (auto& mb : mailboxes_) mb->notify_exit();
+}
+
+int Machine::first_exited() const {
+  for (int r = 0; r < nranks_; ++r)
+    if (exited_[static_cast<std::size_t>(r)].load(std::memory_order_acquire))
+      return r;
+  return -1;
 }
 
 void Machine::abort() {
@@ -177,6 +207,9 @@ void Machine::run(const std::function<void(Comm&)>& body) {
   aborted_.store(false, std::memory_order_relaxed);
   first_error_.clear();
   sync_count_ = 0;
+  for (int r = 0; r < nranks_; ++r)
+    exited_[static_cast<std::size_t>(r)].store(false,
+                                               std::memory_order_relaxed);
   for (auto& s : stage_) s.clear();
   std::fill(stage_clock_.begin(), stage_clock_.end(), 0.0);
 
@@ -187,6 +220,7 @@ void Machine::run(const std::function<void(Comm&)>& body) {
       Comm comm(*this, r);
       try {
         body(comm);
+        mark_exited(r);
       } catch (const Aborted&) {
         // Secondary failure; the primary error is already recorded.
       } catch (const std::exception& e) {

@@ -191,7 +191,8 @@ class Comm {
   template <typename T>
   std::vector<T> allgather(const T& v) {
     static_assert(std::is_trivially_copyable_v<T>);
-    publish_bytes({reinterpret_cast<const std::byte*>(&v), sizeof(T)});
+    publish_bytes({reinterpret_cast<const std::byte*>(&v), sizeof(T)},
+                  "allgather");
     std::vector<T> out(static_cast<std::size_t>(nranks_));
     std::uint64_t total = 0;
     for (int r = 0; r < nranks_; ++r) {
@@ -200,7 +201,7 @@ class Comm {
       std::memcpy(&out[static_cast<std::size_t>(r)], b.data(), sizeof(T));
       total += b.size();
     }
-    finish_staged(model().allgather_cost(nranks_, total));
+    finish_staged(model().allgather_cost(nranks_, total), "allgather");
     return out;
   }
 
@@ -212,7 +213,8 @@ class Comm {
                             std::vector<std::size_t>* counts = nullptr) {
     static_assert(std::is_trivially_copyable_v<T>);
     publish_bytes({reinterpret_cast<const std::byte*>(mine.data()),
-                   mine.size_bytes()});
+                   mine.size_bytes()},
+                  "allgatherv");
     std::vector<T> out;
     if (counts) counts->assign(static_cast<std::size_t>(nranks_), 0);
     std::uint64_t total = 0;
@@ -226,7 +228,7 @@ class Comm {
       if (counts) (*counts)[static_cast<std::size_t>(r)] = n;
       total += b.size();
     }
-    finish_staged(model().allgather_cost(nranks_, total));
+    finish_staged(model().allgather_cost(nranks_, total), "allgatherv");
     return out;
   }
 
@@ -239,7 +241,8 @@ class Comm {
   std::vector<T> allgatherv_unmodeled(std::span<const T> mine) {
     static_assert(std::is_trivially_copyable_v<T>);
     publish_bytes({reinterpret_cast<const std::byte*>(mine.data()),
-                   mine.size_bytes()});
+                   mine.size_bytes()},
+                  "allgatherv");
     std::vector<T> out;
     for (int r = 0; r < nranks_; ++r) {
       std::span<const std::byte> b = peer_bytes(r);
@@ -249,7 +252,7 @@ class Comm {
       out.resize(at + n);
       if (n > 0) std::memcpy(out.data() + at, b.data(), b.size());
     }
-    finish_staged(0.0);
+    finish_staged(0.0, "allgatherv");
     return out;
   }
 
@@ -260,15 +263,16 @@ class Comm {
     CHAOS_CHECK(root >= 0 && root < nranks_);
     if (rank_ == root) {
       publish_bytes({reinterpret_cast<const std::byte*>(mine.data()),
-                     mine.size_bytes()});
+                     mine.size_bytes()},
+                    "bcast");
     } else {
-      publish_bytes({});
+      publish_bytes({}, "bcast");
     }
     std::span<const std::byte> b = peer_bytes(root);
     CHAOS_CHECK(b.size() % sizeof(T) == 0);
     std::vector<T> out(b.size() / sizeof(T));
     if (!b.empty()) std::memcpy(out.data(), b.data(), b.size());
-    finish_staged(model().bcast_cost(nranks_, b.size()));
+    finish_staged(model().bcast_cost(nranks_, b.size()), "bcast");
     return out;
   }
 
@@ -305,7 +309,8 @@ class Comm {
     static_assert(std::is_trivially_copyable_v<T>);
     CHAOS_CHECK(static_cast<int>(sendbuf.size()) == nranks_);
     publish_bytes({reinterpret_cast<const std::byte*>(sendbuf.data()),
-                   sendbuf.size_bytes()});
+                   sendbuf.size_bytes()},
+                  "alltoall_hypercube");
     std::vector<T> out(static_cast<std::size_t>(nranks_));
     for (int r = 0; r < nranks_; ++r) {
       std::span<const std::byte> b = peer_bytes(r);
@@ -320,7 +325,7 @@ class Comm {
         model().params().latency +
         static_cast<double>(nranks_) / 2.0 * sizeof(T) *
             model().params().byte_time;
-    finish_staged(steps * per_stage);
+    finish_staged(steps * per_stage, "alltoall_hypercube");
     return out;
   }
 
@@ -374,10 +379,11 @@ class Comm {
   bool try_recv_bytes(int src, int tag, std::vector<std::byte>& out);
 
   // Staged-collective protocol: publish own contribution, then read peers',
-  // then finish (which synchronizes and charges modeled cost).
-  void publish_bytes(std::span<const std::byte> bytes);
+  // then finish (which synchronizes and charges modeled cost). `op` names
+  // the collective in the error raised when a peer has exited instead.
+  void publish_bytes(std::span<const std::byte> bytes, const char* op);
   std::span<const std::byte> peer_bytes(int r) const;
-  void finish_staged(double modeled_cost);
+  void finish_staged(double modeled_cost, const char* op);
   void charge_collective(double modeled_cost);
 
   int next_internal_tag();
@@ -428,9 +434,16 @@ class Machine {
  private:
   friend class Comm;
 
-  // Generation-counting phase barrier used by staged collectives.
-  void phase_sync();
+  // Generation-counting phase barrier used by staged collectives. Throws
+  // a chaos::Error naming `rank`, `op` and the peer if a rank has exited
+  // normally: it can never join, so the barrier would never open.
+  void phase_sync(int rank, const char* op);
   void abort();
+  /// Record rank `r`'s normal return from the body and wake every waiter,
+  /// so receives and collectives that need it fail instead of hanging.
+  void mark_exited(int r);
+  /// Lowest rank that has exited normally in this run, or -1.
+  int first_exited() const;
 
   int nranks_;
   CostModel model_;
@@ -448,6 +461,7 @@ class Machine {
   std::uint64_t sync_generation_ = 0;
 
   std::atomic<bool> aborted_{false};
+  std::unique_ptr<std::atomic<bool>[]> exited_;  // per rank, this run
   std::mutex err_mu_;
   std::string first_error_;
 

@@ -78,10 +78,16 @@ class Mailbox {
 
   /// Blocks until a message with exactly this (src, tag) arrives, removes it
   /// from the queue, and returns it. Throws Aborted if the machine fails.
-  Message pop(int src, int tag, const std::atomic<bool>& aborted) {
+  /// Returns nullopt once `src_exited` is set with no match queued: the
+  /// sender has returned, so the message can never come. (The flag is
+  /// read before the scan, and a sender pushes before it exits, so a
+  /// queued match is always found first.)
+  std::optional<Message> pop(int src, int tag, const std::atomic<bool>& aborted,
+                             const std::atomic<bool>& src_exited) {
     std::unique_lock<std::mutex> lk(mu_);
     for (;;) {
       if (aborted.load(std::memory_order_relaxed)) throw Aborted{};
+      const bool gone = src_exited.load(std::memory_order_acquire);
       for (auto it = q_.begin(); it != q_.end(); ++it) {
         if (it->src == src && it->tag == tag) {
           Message m = std::move(*it);
@@ -89,6 +95,7 @@ class Mailbox {
           return m;
         }
       }
+      if (gone) return std::nullopt;
       cv_.wait(lk);
     }
   }
@@ -117,6 +124,14 @@ class Mailbox {
 
   /// Wakes any blocked receiver so it can observe the abort flag.
   void notify_abort() { cv_.notify_all(); }
+
+  /// Wakes any blocked receiver so it can observe a sender's exit flag.
+  /// Takes the lock so a receiver between its flag read and its wait
+  /// cannot miss the wakeup.
+  void notify_exit() {
+    std::lock_guard<std::mutex> lk(mu_);
+    cv_.notify_all();
+  }
 
   /// Number of queued (unreceived) messages; used by tests.
   std::size_t pending() {

@@ -2,7 +2,9 @@
 // across ranks, chain slab structure, and relative cost ordering.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/parallel_partition.hpp"
 #include "core/translation_table.hpp"
@@ -183,6 +185,35 @@ TEST(ParallelPartition, RejectsNonDenseIds) {
   EXPECT_NE(partition_error({0, 1}, 3).find("cover"), std::string::npos);
   // A permutation of the dense range is accepted.
   EXPECT_EQ(partition_error({2, 0, 1}, 3), "");
+}
+
+// The bisection partitioners charge their weighted-median rounds to the
+// modeled clock. Pinned execution times (printed with %.17g) from skewed
+// entry clocks at P = 4: the rounds must line every rank's clock up and
+// cost exactly what one real allgather per round did.
+void expect_pinned_bisection_clock(PartitionerKind kind, double pinned) {
+  const int P = 4;
+  const GlobalIndex n = 400;
+  Machine m(P);
+  std::vector<double> exit_clock(P, -1.0);
+  m.run([&](Comm& c) {
+    auto mine = my_slice(c, n, true);
+    c.charge_compute_seconds(1e-3 * (c.rank() + 1) * (c.rank() + 1));
+    (void)parallel_partition(c, kind, mine.ids, mine.pts, mine.w, n);
+    exit_clock[static_cast<std::size_t>(c.rank())] = c.now();
+  });
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.17g", m.execution_time());
+  EXPECT_EQ(m.execution_time(), pinned)
+      << partitioner_name(kind) << " execution_time " << buf;
+  for (int r = 1; r < P; ++r)
+    EXPECT_EQ(exit_clock[static_cast<std::size_t>(r)], exit_clock[0])
+        << partitioner_name(kind) << " rank " << r;
+}
+
+TEST(ParallelPartition, BisectionRoundsChargeThePinnedClock) {
+  expect_pinned_bisection_clock(PartitionerKind::kRcb, 0.048686014448801482);
+  expect_pinned_bisection_clock(PartitionerKind::kRib, 0.057329870638576148);
 }
 
 }  // namespace

@@ -1,15 +1,12 @@
-// Tests for the Fortran D embedding: distributions, aligned arrays,
-// remapping, the inspector cache's modification records, and the
-// forall/reduce lowerings.
+// Tests for the Fortran D embedding: distributions, the inspector cache's
+// modification records, and the REDUCE(APPEND) lowerings.
 #include <gtest/gtest.h>
 
 #include <numeric>
 
-#include "lang/distributed_array.hpp"
 #include "lang/distribution.hpp"
 #include "lang/forall.hpp"
 #include "runtime/schedule_registry.hpp"
-#include "util/rng.hpp"
 
 namespace chaos::lang {
 namespace {
@@ -53,41 +50,6 @@ TEST(Distribution, EpochsDistinguishInstances) {
     auto d1 = Distribution::block(c, 4);
     auto d2 = Distribution::block(c, 4);
     EXPECT_NE(d1.epoch(), d2.epoch());
-  });
-}
-
-TEST(DistributedArray, SizesFollowDistribution) {
-  Machine m(2);
-  m.run([](Comm& c) {
-    auto d = Distribution::block(c, 7);
-    DistributedArray<double> x(c, d);
-    EXPECT_EQ(x.owned(), d.owned_count(c.rank()));
-    x.ensure_extent(x.owned() + 3);
-    EXPECT_EQ(static_cast<GlobalIndex>(x.local().size()), x.owned() + 3);
-    EXPECT_THROW(x.ensure_extent(x.owned() - 1), Error);
-  });
-}
-
-TEST(Remapper, MovesAlignedArraysBetweenDistributions) {
-  Machine m(2);
-  m.run([](Comm& c) {
-    auto block = Distribution::block(c, 8);
-    std::vector<int> swapped{1, 1, 1, 1, 0, 0, 0, 0};
-    auto irreg = Distribution::irregular(c, swapped);
-
-    DistributedArray<double> x(c, block);
-    auto mine = block.owned_globals(c.rank());
-    for (std::size_t i = 0; i < mine.size(); ++i)
-      x[static_cast<GlobalIndex>(i)] = 100.0 + static_cast<double>(mine[i]);
-
-    Remapper r(c, block, irreg);
-    r.apply(c, x);
-
-    auto new_mine = irreg.owned_globals(c.rank());
-    ASSERT_EQ(x.owned(), static_cast<GlobalIndex>(new_mine.size()));
-    for (std::size_t i = 0; i < new_mine.size(); ++i)
-      EXPECT_EQ(x[static_cast<GlobalIndex>(i)],
-                100.0 + static_cast<double>(new_mine[i]));
   });
 }
 
@@ -150,78 +112,6 @@ TEST(ScheduleRegistry, DistributionChangeInvalidates) {
     // Under cyclic on 2 ranks each rank owns one of {0, 19} and fetches
     // the other; under the original block distribution rank 0 owned both.
     EXPECT_EQ(p.schedule.recv_total(c.rank()), 1);
-  });
-}
-
-TEST(ForallReduceSum, MatchesSequentialReduction) {
-  // x(ind(j)) += y(ind(j)) * 2 over a random indirection array, compared
-  // against a sequential evaluation of the same loop.
-  const int P = 4;
-  const GlobalIndex N = 50;
-  Machine m(P);
-
-  // Sequential reference.
-  std::vector<double> seq_y(static_cast<size_t>(N));
-  for (GlobalIndex g = 0; g < N; ++g)
-    seq_y[static_cast<size_t>(g)] = 1.0 + static_cast<double>(g);
-  std::vector<double> seq_x(static_cast<size_t>(N), 0.0);
-  std::vector<GlobalIndex> all_refs;
-  {
-    Rng rng(33);
-    for (int r = 0; r < P; ++r)
-      for (int k = 0; k < 30; ++k)
-        all_refs.push_back(static_cast<GlobalIndex>(rng.below(N)));
-    for (GlobalIndex g : all_refs)
-      seq_x[static_cast<size_t>(g)] += 2.0 * seq_y[static_cast<size_t>(g)];
-  }
-
-  m.run([&](Comm& c) {
-    auto d = Distribution::cyclic(c, N);
-    DistributedArray<double> x(c, d), y(c, d);
-    auto mine = d.owned_globals(c.rank());
-    for (std::size_t i = 0; i < mine.size(); ++i)
-      y[static_cast<GlobalIndex>(i)] = 1.0 + static_cast<double>(mine[i]);
-
-    // This rank executes its slice of the reference stream.
-    std::vector<GlobalIndex> refs(
-        all_refs.begin() + c.rank() * 30,
-        all_refs.begin() + (c.rank() + 1) * 30);
-    runtime::ScheduleRegistry cache;
-    IndirectionArray ind(refs);
-    forall_reduce_sum(c, cache, d, ind, y, x,
-                      [&](std::span<const GlobalIndex> lrefs) {
-                        for (GlobalIndex j : lrefs) x[j] += 2.0 * y[j];
-                      });
-
-    for (std::size_t i = 0; i < mine.size(); ++i)
-      EXPECT_NEAR(x[static_cast<GlobalIndex>(i)],
-                  seq_x[static_cast<size_t>(mine[i])], 1e-12)
-          << "global " << mine[i];
-  });
-}
-
-TEST(ForallReduceSum, RepeatedExecutionsDoNotDoubleCount) {
-  // Ghost accumulators must reset between executions.
-  Machine m(2);
-  m.run([](Comm& c) {
-    auto d = Distribution::block(c, 10);
-    DistributedArray<double> x(c, d), y(c, d);
-    for (GlobalIndex i = 0; i < y.owned(); ++i) y[i] = 1.0;
-    runtime::ScheduleRegistry cache;
-    // Both ranks reference global 0 (owned by rank 0).
-    IndirectionArray ind(std::vector<GlobalIndex>{0});
-    for (int step = 0; step < 3; ++step) {
-      for (GlobalIndex i = 0; i < x.owned(); ++i) x[i] = 0.0;
-      forall_reduce_sum(c, cache, d, ind, y, x,
-                        [&](std::span<const GlobalIndex> lrefs) {
-                          for (GlobalIndex j : lrefs) x[j] += 1.0;
-                        });
-      if (c.rank() == 0) {
-        EXPECT_EQ(x[0], 2.0) << "step " << step;
-      }
-    }
-    EXPECT_EQ(cache.stats().builds, 1u);
-    EXPECT_EQ(cache.stats().reuses, 2u);
   });
 }
 

@@ -1,17 +1,26 @@
 // Tests for the chaos::Runtime facade: handle lifetime, inspector cache
 // reuse/invalidation via modification records, merged/incremental schedule
 // equivalence against the paper's Figure 6 golden expectations, epoch
-// retirement invalidating stale handles, the fluent loop builder, and the
-// process-wide uniqueness of indirection-array ids.
+// retirement invalidating stale handles, chaos::forall as a one-step graph,
+// and the process-wide uniqueness of indirection-array ids.
 #include <gtest/gtest.h>
 
 #include <set>
 #include <thread>
 
+#include "lang/array.hpp"
 #include "runtime/runtime.hpp"
+#include "runtime/step_graph.hpp"
 #include "util/rng.hpp"
 
 namespace chaos {
+
+struct RuntimeInternals {
+  static std::size_t graph_count(const Runtime& rt) {
+    return rt.graphs_.size();
+  }
+};
+
 namespace {
 
 using core::GlobalIndex;
@@ -283,7 +292,7 @@ TEST(RuntimeEpochs, RepartitionProducesBalancedFreshEpoch) {
   });
 }
 
-// ---- Remap of aligned DistributedArrays -----------------------------------
+// ---- Remap of aligned Arrays ------------------------------------------------
 
 TEST(RuntimeRemap, MovesAlignedArraysBetweenEpochs) {
   Machine m(2);
@@ -293,15 +302,13 @@ TEST(RuntimeRemap, MovesAlignedArraysBetweenEpochs) {
     std::vector<int> swapped{1, 1, 1, 1, 0, 0, 0, 0};
     const DistHandle irreg = rt.irregular(swapped);
 
-    lang::DistributedArray<double> x(comm, rt.dist(block));
-    auto mine = rt.owned_globals(block);
-    for (std::size_t i = 0; i < mine.size(); ++i)
-      x[static_cast<GlobalIndex>(i)] = 100.0 + static_cast<double>(mine[i]);
+    Array<double> x(rt, block, "x");
+    x.fill([](GlobalIndex g) { return 100.0 + static_cast<double>(g); });
 
-    const ScheduleHandle remap = rt.plan_remap(block, irreg);
-    rt.remap(remap, x);
+    x.retarget(rt.plan_remap(block, irreg), irreg);
 
     auto new_mine = rt.owned_globals(irreg);
+    EXPECT_TRUE(x.dist() == irreg);
     ASSERT_EQ(x.owned(), static_cast<GlobalIndex>(new_mine.size()));
     for (std::size_t i = 0; i < new_mine.size(); ++i)
       EXPECT_EQ(x[static_cast<GlobalIndex>(i)],
@@ -309,11 +316,12 @@ TEST(RuntimeRemap, MovesAlignedArraysBetweenEpochs) {
   });
 }
 
-// ---- Fluent loop builder ---------------------------------------------------
+// ---- forall: the one-step graph --------------------------------------------
 
 TEST(RuntimeLoop, BuilderMatchesSequentialReduction) {
-  // x(ind(j)) += 2 * y(ind(j)) over a random indirection array, compared
-  // against a sequential evaluation of the same loop.
+  // x(ind(j)) += 2 * y(ind(j)) over a random indirection array, driven by
+  // forall(in(y), sum(x)) and compared against a sequential evaluation of
+  // the same loop.
   const int P = 4;
   const GlobalIndex N = 50;
   Machine m(P);
@@ -336,10 +344,8 @@ TEST(RuntimeLoop, BuilderMatchesSequentialReduction) {
   m.run([&](Comm& comm) {
     Runtime rt(comm);
     const DistHandle d = rt.cyclic(N);
-    lang::DistributedArray<double> x(comm, rt.dist(d)), y(comm, rt.dist(d));
-    auto mine = rt.owned_globals(d);
-    for (std::size_t i = 0; i < mine.size(); ++i)
-      y[static_cast<GlobalIndex>(i)] = 1.0 + static_cast<double>(mine[i]);
+    Array<double> x(rt, d, "x"), y(rt, d, "y");
+    y.fill([](GlobalIndex g) { return 1.0 + static_cast<double>(g); });
 
     // This rank executes its slice of the reference stream.
     lang::IndirectionArray ind(std::vector<GlobalIndex>(
@@ -347,12 +353,13 @@ TEST(RuntimeLoop, BuilderMatchesSequentialReduction) {
         all_refs.begin() + (comm.rank() + 1) * 30));
 
     const LoopHandle loop =
-        rt.loop(d).indirection(ind).gather(y).scatter_add(x).run(
-            [&](std::span<const GlobalIndex> lrefs) {
+        forall(rt, d, ind, in(y), sum(x))
+            .run([&](std::span<const GlobalIndex> lrefs) {
               for (GlobalIndex j : lrefs) x[j] += 2.0 * y[j];
             });
     EXPECT_TRUE(rt.valid(loop));
 
+    const std::vector<GlobalIndex>& mine = x.globals();
     for (std::size_t i = 0; i < mine.size(); ++i)
       EXPECT_NEAR(x[static_cast<GlobalIndex>(i)],
                   seq_x[static_cast<size_t>(mine[i])], 1e-12)
@@ -367,14 +374,14 @@ TEST(RuntimeLoop, RepeatedRunsReuseInspectorAndDoNotDoubleCount) {
   m.run([](Comm& comm) {
     Runtime rt(comm);
     const DistHandle d = rt.block(10);
-    lang::DistributedArray<double> x(comm, rt.dist(d)), y(comm, rt.dist(d));
-    for (GlobalIndex i = 0; i < y.owned(); ++i) y[i] = 1.0;
+    Array<double> x(rt, d, "x"), y(rt, d, "y");
+    y.fill([](GlobalIndex) { return 1.0; });
     // Both ranks reference global 0 (owned by rank 0).
     lang::IndirectionArray ind(std::vector<GlobalIndex>{0});
     for (int step = 0; step < 3; ++step) {
       for (GlobalIndex i = 0; i < x.owned(); ++i) x[i] = 0.0;
-      rt.loop(d).indirection(ind).gather(y).scatter_add(x).run(
-          [&](std::span<const GlobalIndex> lrefs) {
+      forall(rt, d, ind, in(y), sum(x))
+          .run([&](std::span<const GlobalIndex> lrefs) {
             for (GlobalIndex j : lrefs) x[j] += 1.0;
           });
       if (comm.rank() == 0) {
@@ -383,6 +390,41 @@ TEST(RuntimeLoop, RepeatedRunsReuseInspectorAndDoNotDoubleCount) {
     }
     EXPECT_EQ(rt.registry_stats(d).builds, 1u);
     EXPECT_EQ(rt.registry_stats(d).reuses, 2u);
+  });
+}
+
+TEST(RuntimeLoop, RepeatedForallRunsKeepTheRegistryFlat) {
+  // Each forall builds and destroys a temporary one-step graph: 50 runs on
+  // one Runtime reuse the first run's inspector, leave registry_bytes()
+  // where the first run put it, and leave no graph registered.
+  Machine m(4);
+  m.run([](Comm& comm) {
+    Runtime rt(comm);
+    const DistHandle d = rt.block(40);
+    Array<double> x(rt, d, "x"), y(rt, d, "y");
+    y.fill([](GlobalIndex g) { return static_cast<double>(g); });
+    std::vector<GlobalIndex> refs;
+    for (GlobalIndex k = 0; k < 12; ++k)
+      refs.push_back((7 * k + 11 * comm.rank()) % 40);
+    lang::IndirectionArray ind(std::move(refs));
+
+    const std::size_t before = rt.registry_bytes();
+    std::size_t after_first = 0;
+    for (int run = 0; run < 50; ++run) {
+      forall(rt, d, ind, in(y), sum(x))
+          .run([&](std::span<const GlobalIndex> lrefs) {
+            for (GlobalIndex j : lrefs) x[j] += y[j];
+          });
+      if (run == 0) {
+        after_first = rt.registry_bytes();
+        EXPECT_GT(after_first, before);
+      } else {
+        EXPECT_EQ(rt.registry_bytes(), after_first) << "run " << run;
+      }
+    }
+    EXPECT_EQ(rt.registry_stats(d).builds, 1u);
+    EXPECT_EQ(rt.registry_stats(d).reuses, 49u);
+    EXPECT_EQ(RuntimeInternals::graph_count(rt), 0u);
   });
 }
 

@@ -3,7 +3,9 @@
 // propagation.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "sim/machine.hpp"
@@ -241,6 +243,38 @@ TEST(Machine, RankErrorPropagatesAndOthersUnblock) {
       Error);
   // Machine remains usable after a failed run.
   m.run([](Comm& c) { c.barrier(); });
+}
+
+// A rank that returns from the body can never send again or join another
+// collective: a peer waiting on it must fail loudly, naming itself, the
+// exited rank and what it waits in, instead of hanging.
+std::string exited_peer_error(const std::function<void(Comm&)>& rank0) {
+  Machine m(2);
+  try {
+    m.run([&](Comm& c) {
+      if (c.rank() == 0) rank0(c);
+    });
+  } catch (const Error& e) {
+    // The machine stays usable after the failed run.
+    m.run([](Comm& c) { c.barrier(); });
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Machine, RecvFromExitedPeerFailsLoudly) {
+  const std::string what =
+      exited_peer_error([](Comm& c) { (void)c.recv<double>(1, 5); });
+  EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
+  EXPECT_NE(what.find("recv(src=1, tag=5)"), std::string::npos) << what;
+  EXPECT_NE(what.find("rank 1 has exited"), std::string::npos) << what;
+}
+
+TEST(Machine, CollectiveWithExitedPeerFailsLoudly) {
+  const std::string what = exited_peer_error([](Comm& c) { c.barrier(); });
+  EXPECT_NE(what.find("rank 0"), std::string::npos) << what;
+  EXPECT_NE(what.find("barrier"), std::string::npos) << what;
+  EXPECT_NE(what.find("rank 1 has exited"), std::string::npos) << what;
 }
 
 TEST(Machine, ReusableAcrossRuns) {

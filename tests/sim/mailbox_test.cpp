@@ -28,43 +28,67 @@ int value_of(const Message& m) {
 TEST(Mailbox, PopMatchesSrcAndTag) {
   Mailbox mb;
   std::atomic<bool> aborted{false};
+  std::atomic<bool> live{false};  // the sender never exits
   mb.push(make(1, 10, 100));
   mb.push(make(2, 10, 200));
   mb.push(make(1, 20, 300));
-  EXPECT_EQ(value_of(mb.pop(1, 20, aborted)), 300);
-  EXPECT_EQ(value_of(mb.pop(2, 10, aborted)), 200);
-  EXPECT_EQ(value_of(mb.pop(1, 10, aborted)), 100);
+  EXPECT_EQ(value_of(*mb.pop(1, 20, aborted, live)), 300);
+  EXPECT_EQ(value_of(*mb.pop(2, 10, aborted, live)), 200);
+  EXPECT_EQ(value_of(*mb.pop(1, 10, aborted, live)), 100);
   EXPECT_EQ(mb.pending(), 0u);
 }
 
 TEST(Mailbox, FifoWithinSameSrcTag) {
   Mailbox mb;
   std::atomic<bool> aborted{false};
+  std::atomic<bool> live{false};  // the sender never exits
   for (int i = 0; i < 5; ++i) mb.push(make(0, 1, i));
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(value_of(mb.pop(0, 1, aborted)), i);
+  for (int i = 0; i < 5; ++i)
+    EXPECT_EQ(value_of(*mb.pop(0, 1, aborted, live)), i);
 }
 
 TEST(Mailbox, BlockingPopWakesOnPush) {
   Mailbox mb;
   std::atomic<bool> aborted{false};
+  std::atomic<bool> live{false};  // the sender never exits
   std::thread producer([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     mb.push(make(3, 7, 77));
   });
-  EXPECT_EQ(value_of(mb.pop(3, 7, aborted)), 77);
+  EXPECT_EQ(value_of(*mb.pop(3, 7, aborted, live)), 77);
   producer.join();
 }
 
 TEST(Mailbox, AbortUnblocksPop) {
   Mailbox mb;
   std::atomic<bool> aborted{false};
+  std::atomic<bool> live{false};  // the sender never exits
   std::thread aborter([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     aborted.store(true);
     mb.notify_abort();
   });
-  EXPECT_THROW(mb.pop(0, 0, aborted), Aborted);
+  EXPECT_THROW(mb.pop(0, 0, aborted, live), Aborted);
   aborter.join();
+}
+
+TEST(Mailbox, ExitedSenderEndsTheWait) {
+  // A queued match is still delivered after its sender exited; once none
+  // is left, the blocked pop returns empty instead of waiting forever.
+  Mailbox mb;
+  std::atomic<bool> aborted{false};
+  std::atomic<bool> exited{false};
+  mb.push(make(4, 9, 49));
+  exited.store(true);
+  EXPECT_EQ(value_of(*mb.pop(4, 9, aborted, exited)), 49);
+  exited.store(false);
+  std::thread sender([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    exited.store(true);
+    mb.notify_exit();
+  });
+  EXPECT_FALSE(mb.pop(4, 9, aborted, exited).has_value());
+  sender.join();
 }
 
 TEST(Mailbox, TryPopReturnsNulloptWithoutBlocking) {
@@ -79,13 +103,14 @@ TEST(Mailbox, TryPopReturnsNulloptWithoutBlocking) {
 TEST(Mailbox, TryPopRemovesExactMatch) {
   Mailbox mb;
   std::atomic<bool> aborted{false};
+  std::atomic<bool> live{false};  // the sender never exits
   mb.push(make(1, 10, 100));
   mb.push(make(1, 20, 200));
   auto m = mb.try_pop(1, 20, 1e9);
   ASSERT_TRUE(m.has_value());
   EXPECT_EQ(value_of(*m), 200);
   EXPECT_EQ(mb.pending(), 1u);
-  EXPECT_EQ(value_of(mb.pop(1, 10, aborted)), 100);
+  EXPECT_EQ(value_of(*mb.pop(1, 10, aborted, live)), 100);
 }
 
 TEST(Mailbox, TryPopIsFifoWithinSameSrcTag) {

@@ -13,7 +13,7 @@
 // under --strict, a warning finding. Notes never fail the run.
 //
 // Usage: chaos-verify [--strict] [--ranks=N] [target...]
-//   targets: charmm charmm-arrival dsmc dsmc-arrival
+//   targets: charmm dsmc dsmc-arrival
 //            step-pipeline spmv-adaptive mesh-sweep      (default: all)
 #include <cstdlib>
 #include <cstring>
@@ -171,8 +171,6 @@ struct Target {
 
 const Target kTargets[] = {
     {"charmm", [](int r) { return charmm_graph(r, charmm::CharmmShape::kStepGraph); }},
-    {"charmm-arrival",
-     [](int r) { return charmm_graph(r, charmm::CharmmShape::kStepGraphArrival); }},
     {"dsmc", [](int r) { return dsmc_graph(r, dsmc::DsmcExecutor::kStepGraph); }},
     {"dsmc-arrival",
      [](int r) { return dsmc_graph(r, dsmc::DsmcExecutor::kStepGraphArrival); }},
